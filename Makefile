@@ -47,12 +47,15 @@ lint: vet
 		echo "lint: staticcheck not installed; ran go vet only"; \
 	fi
 
-# Short fuzz runs of the crash-surface decoders — WAL replay and the
-# snapshot pct attribute — plus the planner differential: random queries
-# over a fixed world must bind identically with the planner on and off.
-# CI runs these; locally, crank -fuzztime.
+# Short fuzz runs of the decoders that read disk and network input — WAL
+# replay, the binary snapshot (recovery and replica bootstrap), GeoJSON
+# request bodies and the pct attribute — plus the planner differential:
+# random queries over a fixed world must bind identically with the planner
+# on and off. CI runs these; locally, crank -fuzztime.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal
+	$(GO) test -run='^$$' -fuzz=FuzzBinarySnapshot -fuzztime=10s ./internal/persist
+	$(GO) test -run='^$$' -fuzz=FuzzParseGeoJSON -fuzztime=10s ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzParsePct -fuzztime=10s ./internal/config
 	$(GO) test -run='^$$' -fuzz=FuzzPlannerDifferential -fuzztime=10s ./internal/query
 	$(GO) test -run='^$$' -fuzz=FuzzLoDDifferential -fuzztime=10s ./internal/core

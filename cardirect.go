@@ -420,10 +420,6 @@ var (
 	// Track binds a configuration to a maintained RelationStore and live
 	// index; subsequent Image edits update both incrementally.
 	Track = config.Track
-	// TrackSeeded is Track for documents whose materialised relations are
-	// trusted (snapshots the store itself wrote): the relation store is
-	// seeded from them instead of recomputing all pairs.
-	TrackSeeded = config.TrackSeeded
 	// NewLiveIndex builds a maintained R-tree over named regions.
 	NewLiveIndex = index.NewLive
 	// PrepareLoDWorld builds the huge-world tier over a named region set:

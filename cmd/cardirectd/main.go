@@ -162,7 +162,7 @@ func run(args []string, stdout *os.File) error {
 		st := ps.Status()
 		logger.Info("data dir recovered",
 			"dir", st.Dir, "seq", st.Seq, "regions", st.Regions,
-			"seeded", st.SeededFromSnapshot, "replayed", st.ReplayedRecords,
+			"recovered_from", st.RecoveredFrom, "replayed", st.ReplayedRecords,
 			"recovery_ms", st.RecoveryNs/1e6, "fsync", policy.String())
 		if st.Corruption != "" {
 			logger.Warn("recovered past a torn WAL tail", "at", st.Corruption)

@@ -255,8 +255,7 @@ func (img *Image) RelationBetween(p, q string) (Relation, bool) {
 
 // encodePct serialises a percentage matrix in tile order. The shortest
 // round-trippable float formatting makes ParsePct(encodePct(m)) == m
-// bit-exact — the property the persistence subsystem's seeded recovery and
-// FuzzParsePct rely on.
+// bit-exact, which FuzzParsePct checks.
 func encodePct(m core.PercentMatrix) string {
 	parts := make([]string, 0, core.NumTiles)
 	for _, t := range core.Tiles() {
@@ -329,6 +328,14 @@ func (img *Image) Save(w io.Writer) error {
 		return fmt.Errorf("config: encoding image: %w", err)
 	}
 	return enc.Close()
+}
+
+// RegionsOnly returns a shallow copy of the document without its Relation
+// list: the regions are the whole state, since Compute-CDR/CDR% rebuild
+// every relation from them. Snapshot encoders write this copy. It shares
+// the Regions slice, so it must not outlive whatever keeps them stable.
+func (img *Image) RegionsOnly() *Image {
+	return &Image{XMLName: img.XMLName, Name: img.Name, File: img.File, Regions: img.Regions}
 }
 
 // Bytes renders the image document as XML bytes.

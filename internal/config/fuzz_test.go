@@ -8,8 +8,8 @@ import (
 
 // FuzzParsePct checks the pct-attribute decoder never panics on arbitrary
 // input and that whatever it accepts round-trips bit-exactly through
-// encodePct — the invariant seeded recovery depends on: a percent matrix
-// written to a snapshot is read back as exactly the cached value.
+// encodePct: a percent matrix written to a document is read back as exactly
+// the computed value.
 func FuzzParsePct(f *testing.F) {
 	var m core.PercentMatrix
 	for i, t := range core.Tiles() {

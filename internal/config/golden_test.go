@@ -6,10 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
-	"cardirect/internal/core"
 	"cardirect/internal/geom"
 )
 
@@ -97,66 +95,5 @@ func TestSaveDeterministicOrder(t *testing.T) {
 	// Save must not reorder the in-memory document as a side effect.
 	if img.Regions[0].ID == "alpha" && img.Regions[1].ID == "mu" && img.Regions[2].ID == "zeta" {
 		t.Log("note: shuffle landed on sorted order; side-effect check inconclusive this round")
-	}
-}
-
-// TestTrackSeededMatchesTrack checks the seeded fast path builds the same
-// store as the computing path, and that stale or incomplete relation lists
-// fall back to computing.
-func TestTrackSeededMatchesTrack(t *testing.T) {
-	opt := core.StoreOptions{Pct: true}
-
-	materialised := goldenImage(t)
-	trSeeded, seeded, err := TrackSeeded(materialised, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seeded {
-		t.Fatal("fully materialised document did not seed")
-	}
-	reference, err := Track(goldenImage(t), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(trSeeded.Store().Pairs(), reference.Store().Pairs()) {
-		t.Fatal("seeded tracked store differs from computed")
-	}
-	sp, err := trSeeded.Store().PctPairs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := reference.Store().PctPairs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sp {
-		if sp[i].Primary != rp[i].Primary || sp[i].Reference != rp[i].Reference || sp[i].Matrix != rp[i].Matrix {
-			t.Fatalf("pct pair %d differs: %+v vs %+v", i, sp[i], rp[i])
-		}
-	}
-
-	// Incomplete relation list: falls back to computing, same answers.
-	partial := goldenImage(t)
-	partial.Relations = partial.Relations[:2]
-	trPartial, seeded, err := TrackSeeded(partial, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seeded {
-		t.Fatal("partial relation list claimed the seeded path")
-	}
-	if !reflect.DeepEqual(trPartial.Store().Pairs(), reference.Store().Pairs()) {
-		t.Fatal("fallback tracked store differs from computed")
-	}
-
-	// Unparseable pct: also falls back.
-	broken := goldenImage(t)
-	broken.Relations[0].Pct = "not;a;matrix"
-	_, seeded, err = TrackSeeded(broken, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seeded {
-		t.Fatal("broken pct attribute claimed the seeded path")
 	}
 }

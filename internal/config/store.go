@@ -1,7 +1,6 @@
 package config
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -27,7 +26,7 @@ import (
 // Concurrency: Tracked carries an RWMutex so many readers overlap one
 // writer — the contract cardirectd relies on. Mutations must go through
 // Tracked's own edit methods (AddRegion, RemoveRegion, RenameRegion,
-// SetRegionGeometry, Materialize), which take the write side; document
+// SetRegionGeometry, BulkAddRegions), which take the write side; document
 // reads go through View, which takes the read side. The maintained
 // RelationStore has its own internal lock and stays safe to query directly
 // at any time. Editing the underlying Image directly remains possible (the
@@ -63,86 +62,6 @@ func Track(img *Image, opt core.StoreOptions) (*Tracked, error) {
 	tr := &Tracked{img: img, store: store, idx: idx}
 	img.Watch(tr)
 	return tr, nil
-}
-
-// TrackSeeded is Track for documents whose materialised Relation list is
-// trusted: when the relations cover every ordered pair (with parseable pct
-// attributes when opt.Pct is set), the relation store is seeded from them
-// instead of recomputing all pairs — the recovery fast path of the
-// persistence subsystem, which only ever feeds back snapshots the store
-// itself wrote. An incomplete, stale or unparseable relation list silently
-// falls back to the computing path; the returned flag reports which path
-// was taken. Do not use on hand-edited documents: seeded relations are
-// served as-is, wrong values included.
-func TrackSeeded(img *Image, opt core.StoreOptions) (*Tracked, bool, error) {
-	if err := img.Validate(); err != nil {
-		return nil, false, err
-	}
-	seed, ok := seedFromRelations(img, opt.Pct)
-	if !ok {
-		tr, err := Track(img, opt)
-		return tr, false, err
-	}
-	regions := make([]core.NamedRegion, len(img.Regions))
-	for i := range img.Regions {
-		regions[i] = core.NamedRegion{Name: img.Regions[i].ID, Region: img.Regions[i].Geometry()}
-	}
-	store, err := core.NewRelationStoreSeeded(regions, seed, opt)
-	if errors.Is(err, core.ErrBadSeed) {
-		tr, err := Track(img, opt)
-		return tr, false, err
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	idx, err := index.NewLive(regions)
-	if err != nil {
-		return nil, false, err
-	}
-	// The seed has been consumed into the store; drop the O(n²) relation
-	// list from the live image, or every subsequent edit pays a full scan
-	// of it (Image edit methods filter the touched region's entries).
-	img.Relations = img.Relations[:0]
-	tr := &Tracked{img: img, store: store, idx: idx}
-	img.Watch(tr)
-	return tr, true, nil
-}
-
-// seedFromRelations converts the materialised Relation list into a store
-// seed, reporting false when the list cannot possibly cover all pairs or an
-// entry does not parse.
-func seedFromRelations(img *Image, withPct bool) (core.StoreSeed, bool) {
-	n := len(img.Regions)
-	want := n * (n - 1)
-	if len(img.Relations) != want {
-		return core.StoreSeed{}, false
-	}
-	seed := core.StoreSeed{Pairs: make([]core.PairRelation, 0, want)}
-	if withPct {
-		seed.Pcts = make([]core.PairPercent, 0, want)
-	}
-	for _, rel := range img.Relations {
-		r, err := core.ParseRelation(rel.Type)
-		if err != nil {
-			return core.StoreSeed{}, false
-		}
-		seed.Pairs = append(seed.Pairs, core.PairRelation{
-			Primary: rel.Primary, Reference: rel.Reference, Relation: r,
-		})
-		if withPct {
-			if rel.Pct == "" {
-				return core.StoreSeed{}, false
-			}
-			m, err := ParsePct(rel.Pct)
-			if err != nil {
-				return core.StoreSeed{}, false
-			}
-			seed.Pcts = append(seed.Pcts, core.PairPercent{
-				Primary: rel.Primary, Reference: rel.Reference, Matrix: m,
-			})
-		}
-	}
-	return seed, true
 }
 
 // Store returns the maintained relation store.
@@ -344,56 +263,4 @@ func (tr *Tracked) RegionGeometryChanged(id string, g geom.Region) {
 		return
 	}
 	tr.fail(tr.idx.SetGeometry(id, g))
-}
-
-// Materialize writes the store's cached relations into the image's Relation
-// list — the store-backed replacement for ComputeRelations after an edit
-// sequence, costing a copy instead of an O(n²) recompute. The list stays in
-// the live image and every subsequent edit pays a full scan of it; encoders
-// should prefer WithMaterialized, which strips it again.
-func (tr *Tracked) Materialize(withPct bool) error {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.materializeLocked(withPct)
-}
-
-// WithMaterialized runs f over the image with the store's cached relations
-// materialised into it, then strips the relation list again before
-// returning. The list is O(n²) and the Image edit methods filter it on
-// every mutation, so a live image must not keep it between encodes — a
-// snapshot taken on a 900-region world would otherwise slow every later
-// edit by two orders of magnitude.
-func (tr *Tracked) WithMaterialized(withPct bool, f func(*Image) error) error {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if err := tr.materializeLocked(withPct); err != nil {
-		return err
-	}
-	err := f(tr.img)
-	tr.img.Relations = tr.img.Relations[:0]
-	return err
-}
-
-func (tr *Tracked) materializeLocked(withPct bool) error {
-	if tr.err != nil {
-		return tr.err
-	}
-	pairs := tr.store.Pairs()
-	var pcts []core.PairPercent
-	if withPct {
-		var err error
-		pcts, err = tr.store.PctPairs()
-		if err != nil {
-			return err
-		}
-	}
-	tr.img.Relations = tr.img.Relations[:0]
-	for i, pr := range pairs {
-		entry := Relation{Type: pr.Relation.String(), Primary: pr.Primary, Reference: pr.Reference}
-		if withPct {
-			entry.Pct = encodePct(pcts[i].Matrix)
-		}
-		tr.img.Relations = append(tr.img.Relations, entry)
-	}
-	return nil
 }

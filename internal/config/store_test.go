@@ -28,16 +28,13 @@ func TestTrackedFollowsEdits(t *testing.T) {
 			t.Fatalf("%s: store %d / index %d regions, image has %d",
 				stage, tr.Store().Len(), tr.Index().Len(), len(img.Regions))
 		}
-		// Materialize from the store must equal a full batch recompute.
-		if err := tr.Materialize(true); err != nil {
-			t.Fatalf("%s: %v", stage, err)
-		}
-		got := append([]Relation(nil), img.Relations...)
+		// The store's cached relations must equal a full batch recompute.
+		got := storeRelations(t, tr)
 		if err := img.ComputeRelations(true); err != nil {
 			t.Fatalf("%s: %v", stage, err)
 		}
 		if !reflect.DeepEqual(got, img.Relations) {
-			t.Fatalf("%s: store materialisation differs from batch recompute", stage)
+			t.Fatalf("%s: store relations differ from batch recompute", stage)
 		}
 		// The maintained index answers like a freshly tracked one.
 		ref := img.Regions[0].Geometry()
@@ -123,6 +120,22 @@ func TestTrackedDeltaGranularity(t *testing.T) {
 	}
 }
 
+// storeRelations renders the store's cached pairs as the Relation entries
+// ComputeRelations(true) would write, in the same sorted order.
+func storeRelations(t *testing.T, tr *Tracked) []Relation {
+	t.Helper()
+	pcts, err := tr.Store().PctPairs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Relation
+	for i, pr := range tr.Store().Pairs() {
+		out = append(out, Relation{Type: pr.Relation.String(), Primary: pr.Primary,
+			Reference: pr.Reference, Pct: encodePct(pcts[i].Matrix)})
+	}
+	return out
+}
+
 // TestTrackedLatchesErrors: an out-of-band notification that cannot be
 // applied latches Err and freezes further deltas instead of corrupting the
 // maintained state.
@@ -144,8 +157,8 @@ func TestTrackedLatchesErrors(t *testing.T) {
 	if tr.Store().Len() != lenBefore {
 		t.Error("latched tracker kept applying deltas")
 	}
-	if err := tr.Materialize(false); err == nil {
-		t.Error("Materialize on a latched tracker should fail")
+	if err := tr.AddRegion("d", "", "", sqRegion(10, 10, 11, 11)); err == nil {
+		t.Error("edit on a latched tracker should fail")
 	}
 }
 

@@ -15,8 +15,7 @@ package core
 // every Prepared built from it becomes unreachable. Long-lived stores that
 // replace regions in place (RelationStore.SetGeometry) therefore prepare
 // replacements outside the arena; the store's bulk construction paths
-// (NewRelationStore, NewRelationStoreSeeded, the batch engines' self-prepare)
-// all draw from one.
+// (NewRelationStore, the batch engines' self-prepare) all draw from one.
 //
 // A nil *Arena is valid and falls back to plain per-call allocations, so
 // construction paths take an optional arena without branching at every site.

@@ -15,6 +15,7 @@ import (
 
 	"cardirect/internal/config"
 	"cardirect/internal/core"
+	"cardirect/internal/persist"
 	"cardirect/internal/replica"
 	"cardirect/internal/serve"
 	"cardirect/internal/workload"
@@ -97,7 +98,8 @@ func e25WaitCaughtUp(c *e25Cluster, rep *replica.Replica, timeout time.Duration)
 //     takes a burst of region edits, and the replica tails back to the head
 //     over HTTP — applying each shipped record through the store's O(n)
 //     delta path. The alternative a replica without WAL shipping has is a
-//     fresh snapshot bootstrap, which pays the O(n²) all-pairs rebuild; both
+//     fresh snapshot bootstrap: the primary encodes its regions, the
+//     follower decodes them and pays the O(n²) all-pairs rebuild; both
 //     are timed as the median of seven rounds (medians shrug off the 2–3x
 //     scheduling spikes of shared hardware that make min-of-N flicker) and
 //     the ratio is the gated speedup. Byte agreement (relations body and
@@ -215,17 +217,10 @@ func E25Replication(o Options) (Report, error) {
 	}
 	nsCatch := medianNS(catchSamples)
 
-	// The no-WAL alternative: bootstrap a fresh store from the snapshot —
-	// the full all-pairs rebuild every catch-up would otherwise pay. The
-	// first (untimed) round absorbs allocator and page-cache warmup.
-	snap, _, _, err := cl.prim.Snapshot()
-	if err != nil {
-		return Report{}, err
-	}
-	img, err := replica.DecodeSnapshotImage(snap)
-	if err != nil {
-		return Report{}, err
-	}
+	// The no-WAL alternative: a fresh snapshot bootstrap — the primary
+	// encodes its regions, the follower decodes them and rebuilds every
+	// pair with the batch engine. The whole path is timed. The first
+	// (untimed) round absorbs allocator and page-cache warmup.
 	var rebuildSamples []float64
 	for i := 0; i < 8; i++ {
 		// A forced collection between rounds keeps variable GC-assist work
@@ -233,14 +228,22 @@ func E25Replication(o Options) (Report, error) {
 		// lands inside whichever round the pacer picks.
 		runtime.GC()
 		t0 := time.Now()
-		seeded, _, err := config.TrackSeeded(img, core.StoreOptions{Workers: 1})
+		snap, _, _, err := cl.prim.Snapshot()
+		if err != nil {
+			return Report{}, err
+		}
+		img, err := persist.DecodeSnapshot(snap)
+		if err != nil {
+			return Report{}, err
+		}
+		rebuilt, err := config.Track(img, core.StoreOptions{Workers: 1, Pct: cl.prim.Pct()})
 		if err != nil {
 			return Report{}, err
 		}
 		if i > 0 {
 			rebuildSamples = append(rebuildSamples, float64(time.Since(t0).Nanoseconds()))
 		}
-		seeded.Close()
+		rebuilt.Close()
 	}
 	nsRebuild := medianNS(rebuildSamples)
 	speedup := nsRebuild / nsCatch

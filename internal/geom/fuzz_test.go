@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -50,6 +51,54 @@ func FuzzParseWKT(f *testing.F) {
 		}
 		if math.Abs(back.Area()-area) > 1e-9*math.Max(1, area) {
 			t.Fatalf("roundtrip area drift for %q: %v vs %v", s, area, back.Area())
+		}
+	})
+}
+
+// FuzzParseGeoJSON checks the GeoJSON decoder behind region request bodies
+// never panics, and that an accepted region is made of valid clockwise
+// polygons that round-trip exactly through FormatGeoJSON.
+func FuzzParseGeoJSON(f *testing.F) {
+	for _, seed := range []string{
+		`{"type":"Polygon","coordinates":[[[0,0],[4,0],[4,4],[0,4],[0,0]]]}`,
+		`{"type":"Polygon","coordinates":[[[0,0],[6,0],[6,6],[0,6],[0,0]],[[2,2],[2,4],[4,4],[4,2],[2,2]]]}`,
+		`{"type":"MultiPolygon","coordinates":[[[[0,0],[1,0],[1,1],[0,0]]],[[[5,5],[7,5],[7,7],[5,5]]]]}`,
+		`{"type":"Polygon","coordinates":[[[0,0],[1,1],[0,0]]]}`,
+		`{"type":"Polygon","coordinates":[]}`,
+		`{"type":"MultiPolygon","coordinates":[]}`,
+		`{"type":"Point","coordinates":[1,2]}`,
+		`{"type":"Polygon","coordinates":[[[0,0],[1e308,0],[1e308,1e308],[0,0]]]}`,
+		`{"type":"Polygon"}`,
+		``, `null`, `[]`, `{`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := ParseGeoJSON(data)
+		if err != nil {
+			return
+		}
+		if len(r) == 0 {
+			t.Fatalf("ParseGeoJSON(%q) returned an empty region without error", data)
+		}
+		for i, p := range r {
+			if err := p.Validate(); err != nil {
+				t.Fatalf("ParseGeoJSON(%q) piece %d invalid: %v", data, i, err)
+			}
+			if !p.IsClockwise() {
+				t.Fatalf("ParseGeoJSON(%q) piece %d not clockwise", data, i)
+			}
+		}
+		out, err := FormatGeoJSON(r)
+		if err != nil {
+			t.Fatalf("FormatGeoJSON of accepted %q: %v", data, err)
+		}
+		back, err := ParseGeoJSON(out)
+		if err != nil {
+			t.Fatalf("reparse of %q failed: %v", out, err)
+		}
+		if !reflect.DeepEqual(back, r) {
+			t.Fatalf("round trip changed the region:\n%v\n%v", r, back)
 		}
 	})
 }

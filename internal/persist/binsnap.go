@@ -14,7 +14,7 @@ import (
 // Binary snapshot format. Each snapshot generation is written in two
 // formats: the paper's XML (the durable interchange format, always the
 // fallback) and this binary encoding, which recovery prefers because it
-// decodes an order of magnitude faster than 250k lines of XML attributes.
+// decodes an order of magnitude faster than the XML's per-vertex elements.
 //
 // File layout (all integers little-endian):
 //
@@ -28,10 +28,12 @@ import (
 // The CRC covers the header fields after the magic, so a bit flip anywhere
 // but the magic itself fails the checksum (a flipped magic fails the magic
 // check). The payload is the full-fidelity configuration document: strings
-// are u32-length-prefixed UTF-8 carried verbatim (including the formatted
-// Relation type and pct attributes, so a binary round-trip is byte-exact
-// against the XML writer's output), and coordinates are IEEE-754 bit
-// patterns via math.Float64bits — no decimal formatting round-trip.
+// are u32-length-prefixed UTF-8 carried verbatim, and coordinates are
+// IEEE-754 bit patterns via math.Float64bits — no decimal formatting
+// round-trip. Snapshots are written with an empty relation section (the
+// store recomputes relations from the regions); the section is still
+// decoded, verbatim type and pct strings included, so snapshots written
+// when it was filled stay readable.
 //
 //	payload := str(name) str(file)
 //	           u32(#regions)   region*
@@ -205,6 +207,9 @@ func decodeBinarySnapshot(data []byte) (*config.Image, error) {
 	if version != binVersion {
 		return nil, fmt.Errorf("persist: unsupported binary snapshot version %d", version)
 	}
+	if flags := binary.LittleEndian.Uint16(data[6:]); flags != 0 {
+		return nil, fmt.Errorf("persist: binary snapshot sets reserved flags %#04x", flags)
+	}
 
 	r := &binReader{buf: data[binHeaderLen : len(data)-4]}
 	img := &config.Image{XMLName: xml.Name{Local: "Image"}}
@@ -227,7 +232,11 @@ func decodeBinarySnapshot(data []byte) (*config.Image, error) {
 			}
 		}
 	}
-	img.Relations = make([]config.Relation, r.count("relations", 16))
+	// Snapshots hold regions only; leave the list nil, as the XML decoder
+	// does, unless an older snapshot still carries relations.
+	if n := r.count("relations", 16); n > 0 {
+		img.Relations = make([]config.Relation, n)
+	}
 	for i := range img.Relations {
 		rel := &img.Relations[i]
 		rel.Type = r.str("relation type")

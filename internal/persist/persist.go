@@ -1,14 +1,19 @@
 // Package persist is the durability subsystem of the cardirect service: it
-// owns a data directory holding the paper's XML configuration format as
-// point-in-time snapshots plus a write-ahead log of the region edits since
-// the last snapshot, and recovers the tracked store from them after a
-// crash or restart.
+// owns a data directory holding point-in-time snapshots of the configuration
+// plus a write-ahead log of the region edits since the last snapshot, and
+// recovers the tracked store from them after a crash or restart.
+//
+// A snapshot holds the regions only. The relations are derived data — the
+// paper's DTD makes Relation elements optional, Image (Region+, Relation*) —
+// and recovery rebuilds all of them from the geometry with the parallel
+// batch engine (config.Track). Writing them out would add n(n−1) entries to
+// every rotation.
 //
 // Data directory layout:
 //
-//	snapshot-<seq>.xml   full configuration (regions + materialised
-//	                     relations with pct), written by the DTD writer in
-//	                     sorted-id order via temp file + atomic rename
+//	snapshot-<seq>.xml   the regions in the paper's XML configuration
+//	                     format, written by the DTD writer in sorted-id
+//	                     order via temp file + atomic rename
 //	snapshot-<seq>.bin   the same document in the checksummed binary
 //	                     format (see binsnap.go), which recovery prefers
 //	                     because it decodes much faster than the XML
@@ -18,13 +23,13 @@
 // Exactly one (snapshot, wal) generation is live at a time; Snapshot()
 // writes generation seq+1 and removes generation seq, which truncates the
 // log. Recovery loads the newest readable snapshot — the binary file when
-// it is present and passes its CRC, the XML otherwise — seeds the relation
-// store from its materialised relations (no all-pairs recompute — see
-// config.TrackSeeded), and replays the WAL tail through the tracked
-// store's edit methods, so the delta engine rebuilds exactly the cached
-// pairs the edits touched. A torn or bit-flipped WAL tail is detected by
-// the log's CRC framing and discarded with a logged warning; it is never a
-// startup failure.
+// it is present and passes its CRC, the XML otherwise — drops any relation
+// list an older snapshot still carries, builds the relation store from the
+// regions, and replays the WAL tail through the tracked store's edit
+// methods, so the delta engine rebuilds exactly the cached pairs the edits
+// touched. A torn or bit-flipped WAL tail is detected by the log's CRC
+// framing and discarded with a logged warning; it is never a startup
+// failure.
 //
 // Edit ordering is apply-then-log: an edit is validated and applied to the
 // in-memory store first, appended to the WAL second, and acknowledged to
@@ -89,11 +94,10 @@ type Store struct {
 	recoveryNs    int64
 	replayed      int
 	skipped       int
-	seeded        bool
 	recoveredFrom string
 	corruption    string
-	lastSnap   time.Time
-	err        error
+	lastSnap      time.Time
+	err           error
 }
 
 // Status is a point-in-time view of the store for the admin surface.
@@ -104,18 +108,14 @@ type Status struct {
 	// WAL are the cumulative log-writer counters (records, bytes, fsyncs)
 	// across all generations since Open.
 	WAL wal.Metrics `json:"wal"`
-	// RecoveryNs is the wall time Open spent loading the snapshot, seeding
-	// the store and replaying the WAL tail.
+	// RecoveryNs is the wall time Open spent loading the snapshot, building
+	// the relation store and replaying the WAL tail.
 	RecoveryNs int64 `json:"recovery_ns"`
 	// ReplayedRecords counts WAL records applied during recovery.
 	ReplayedRecords int `json:"replayed_records"`
 	// SkippedRecords counts WAL records that failed to apply during
 	// recovery and were dropped with a warning.
 	SkippedRecords int `json:"skipped_records"`
-	// SeededFromSnapshot reports whether recovery filled the relation
-	// store from the snapshot's materialised relations (true) or had to
-	// recompute all pairs (false; also false for a fresh initialisation).
-	SeededFromSnapshot bool `json:"seeded_from_snapshot"`
 	// RecoveredFrom names the snapshot format recovery loaded: "binary"
 	// when the checksummed binary file was used, "xml" when recovery fell
 	// back to (or only found) the XML, "" for a fresh initialisation.
@@ -200,7 +200,7 @@ func (s *Store) scanSnapshots() ([]uint64, error) {
 // initialise writes generation 1 from the seed document: full relation
 // computation, snapshot, fresh log.
 func (s *Store) initialise(seed *config.Image) error {
-	tr, err := config.Track(seed, core.StoreOptions{Workers: s.opt.Workers, Pct: s.opt.Pct})
+	tr, err := s.track(seed)
 	if err != nil {
 		return fmt.Errorf("persist: building store from seed: %w", err)
 	}
@@ -256,15 +256,11 @@ func (s *Store) recover(seqs []uint64) error {
 		return fmt.Errorf("persist: no readable snapshot in %s (%d candidates)", s.dir, len(seqs))
 	}
 
-	tr, seeded, err := config.TrackSeeded(img, core.StoreOptions{Workers: s.opt.Workers, Pct: s.opt.Pct})
+	tr, err := s.track(img)
 	if err != nil {
 		return fmt.Errorf("persist: building store from %s: %w", snapshotName(s.seq), err)
 	}
 	s.tr = tr
-	s.seeded = seeded
-	if !seeded {
-		s.log.Warn("persist: snapshot relations unusable as seed; recomputed all pairs", "snapshot", snapshotName(s.seq))
-	}
 
 	walPath := filepath.Join(s.dir, walName(s.seq))
 	recs, valid, corr, err := wal.ReplayFile(walPath)
@@ -324,6 +320,16 @@ func (s *Store) recover(seqs []uint64) error {
 		s.lastSnap = st.ModTime()
 	}
 	return nil
+}
+
+// track builds the tracked store from a document's regions with the batch
+// engine. A relation list the document carries (a seed configuration, or a
+// snapshot written before snapshots held regions only) is dropped first:
+// the store recomputes every pair anyway, and a live image holding the
+// O(n²) list would make every later edit scan it.
+func (s *Store) track(img *config.Image) (*config.Tracked, error) {
+	img.Relations = nil
+	return config.Track(img, core.StoreOptions{Workers: s.opt.Workers, Pct: s.opt.Pct})
 }
 
 // apply routes one log record through the tracked store's edit methods —
@@ -444,11 +450,10 @@ func (s *Store) BulkAddRegions(regions []config.BulkRegion) error {
 }
 
 // Snapshot writes the next snapshot generation and truncates the log:
-// materialise the cached relations into the document, write
-// snapshot-<seq+1>.xml via temp file + fsync + atomic rename, start
-// wal-<seq+1>.log, then delete generation seq. A crash at any point leaves
-// either generation seq intact or generation seq+1 complete — never a
-// state recovery cannot load.
+// write the regions as snapshot-<seq+1> via temp file + fsync + atomic
+// rename, start wal-<seq+1>.log, then delete generation seq. A crash at any
+// point leaves either generation seq intact or generation seq+1 complete —
+// never a state recovery cannot load.
 func (s *Store) Snapshot() (SnapshotInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -487,9 +492,10 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 	return info, nil
 }
 
-// writeSnapshotFile materialises the tracked relations and writes the
-// document as snapshot-<seq> in both formats, each atomically (temp file,
-// fsync, rename). The binary file is installed first and the XML second:
+// writeSnapshotFile writes the document's regions as snapshot-<seq> in both
+// formats, each atomically (temp file, fsync, rename). Encoding runs under
+// the tracked store's read lock, so readers are never blocked by it. The
+// binary file is installed first and the XML second:
 // scanSnapshots keys generations off the XML name, so a generation only
 // becomes visible once both files are in place, and a crash between the two
 // renames leaves an orphaned .bin that the stale sweep removes.
@@ -498,10 +504,11 @@ func (s *Store) writeSnapshotFile(seq uint64) error {
 		return ErrEmptyWorld
 	}
 	var data, bin []byte
-	err := s.tr.WithMaterialized(s.opt.Pct, func(img *config.Image) error {
+	err := s.tr.View(func(img *config.Image) error {
+		doc := img.RegionsOnly()
 		var err error
-		data, err = img.Bytes()
-		bin = encodeBinarySnapshot(img)
+		data, err = doc.Bytes()
+		bin = encodeBinarySnapshot(doc)
 		return err
 	})
 	if err != nil {
@@ -593,17 +600,16 @@ func (s *Store) Status() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Status{
-		Dir:                s.dir,
-		Seq:                s.seq,
-		Regions:            s.tr.Store().Len(),
-		WAL:                s.walCum,
-		RecoveryNs:         s.recoveryNs,
-		ReplayedRecords:    s.replayed,
-		SkippedRecords:     s.skipped,
-		SeededFromSnapshot: s.seeded,
-		RecoveredFrom:      s.recoveredFrom,
-		Corruption:         s.corruption,
-		LastSnapshot:       s.lastSnap,
+		Dir:             s.dir,
+		Seq:             s.seq,
+		Regions:         s.tr.Store().Len(),
+		WAL:             s.walCum,
+		RecoveryNs:      s.recoveryNs,
+		ReplayedRecords: s.replayed,
+		SkippedRecords:  s.skipped,
+		RecoveredFrom:   s.recoveredFrom,
+		Corruption:      s.corruption,
+		LastSnapshot:    s.lastSnap,
 	}
 	if s.w != nil {
 		st.WAL.Add(s.w.Metrics())

@@ -7,12 +7,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"cardirect/internal/config"
 	"cardirect/internal/core"
 	"cardirect/internal/geom"
-	"cardirect/internal/wal"
 	"cardirect/internal/workload"
 )
 
@@ -84,8 +82,8 @@ func TestFreshInitAndRecovery(t *testing.T) {
 	r := openForTest(t, dir, nil)
 	defer r.Close()
 	st := r.Status()
-	if !st.SeededFromSnapshot {
-		t.Error("recovery did not seed from the snapshot's relations")
+	if st.RecoveredFrom != "binary" {
+		t.Errorf("recovered from %q, want the binary snapshot", st.RecoveredFrom)
 	}
 	if st.ReplayedRecords != 4 {
 		t.Errorf("replayed %d records, want 4", st.ReplayedRecords)
@@ -100,18 +98,10 @@ func TestFreshInitAndRecovery(t *testing.T) {
 	if !reflect.DeepEqual(gotPairs, wantPairs) {
 		t.Fatal("recovered relations differ from pre-crash state")
 	}
-	// Percent matrices round-trip bit-exactly through the snapshot; the
-	// internal tile areas are reconstructed from them, so compare the
-	// served values, not the raw cell structs.
-	if len(gotPcts) != len(wantPcts) {
-		t.Fatalf("pct pair count differs: %d vs %d", len(gotPcts), len(wantPcts))
-	}
-	for i := range gotPcts {
-		if gotPcts[i].Primary != wantPcts[i].Primary ||
-			gotPcts[i].Reference != wantPcts[i].Reference ||
-			gotPcts[i].Matrix != wantPcts[i].Matrix {
-			t.Fatalf("pct pair %d differs: %+v vs %+v", i, gotPcts[i], wantPcts[i])
-		}
+	// Percent matrices and tile areas are recomputed from the snapshot's
+	// exact coordinates, so they match bit for bit.
+	if !reflect.DeepEqual(gotPcts, wantPcts) {
+		t.Fatal("recovered percent matrices differ from pre-crash state")
 	}
 
 	// A seed given alongside an initialised directory is ignored.
@@ -172,7 +162,7 @@ func TestSnapshotRotation(t *testing.T) {
 	r := openForTest(t, dir, nil)
 	defer r.Close()
 	st := r.Status()
-	if st.Seq != 2 || st.ReplayedRecords != 0 || !st.SeededFromSnapshot {
+	if st.Seq != 2 || st.ReplayedRecords != 0 || st.RecoveredFrom != "binary" {
 		t.Fatalf("recovery after rotation: %+v", st)
 	}
 	gotPairs, _ := statePairs(t, r.Tracked())
@@ -315,105 +305,92 @@ func TestSnapshotRefusesEmptyWorld(t *testing.T) {
 	}
 }
 
-// TestSeededRecoveryBeatsRecompute is the acceptance benchmark of the
-// persistence subsystem: recovering a 500-region world from snapshot +
-// short WAL tail must be measurably faster than loading the same XML and
-// recomputing all pairs from scratch, because the snapshot carries the
-// materialised relations. Cluster geometry defeats the MBB fast paths, so
-// the recompute is honest work.
-func TestSeededRecoveryBeatsRecompute(t *testing.T) {
-	if testing.Short() {
-		t.Skip("perf comparison skipped in -short")
-	}
-	const n = 500
-	gen := workload.New(23)
-	// One dense cluster of many-edged polygons: the MBB fast paths prune
-	// almost nothing, so the all-pairs recompute does real
-	// polygon-clipping work on every one of the ~250k pairs.
-	regions := gen.Cluster(n, 1, 96)
-	edits := gen.Scatter(10, 12)
-
+// TestRecoveryDropsLegacyRelations recovers from a generation written when
+// snapshots still carried every relation: the store is rebuilt from the
+// regions, the relation list never reaches the live image, and the answers
+// equal a fresh Track — from the binary file and from the XML alike.
+func TestRecoveryDropsLegacyRelations(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, buildImage(t, regions), Options{Pct: true, Sync: wal.Options{Policy: wal.SyncNever}})
+	legacy := buildImage(t, workload.New(53).Cluster(24, 2, 10))
+	if err := legacy.ComputeRelations(true); err != nil {
+		t.Fatal(err)
+	}
+	if len(legacy.Relations) != 24*23 {
+		t.Fatalf("legacy document carries %d relations, want %d", len(legacy.Relations), 24*23)
+	}
+	data, err := legacy.Bytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, g := range edits {
-		if err := s.AddRegion(fmt.Sprintf("edit%03d", i), "E", "", g); err != nil {
-			t.Fatal(err)
+	if err := os.WriteFile(filepath.Join(dir, snapshotName(1)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, binSnapshotName(1)), encodeBinarySnapshot(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := config.Track(legacy.RegionsOnly(), core.StoreOptions{Pct: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPairs, wantPcts := statePairs(t, fresh)
+
+	for _, from := range []string{"binary", "xml"} {
+		if from == "xml" {
+			if err := os.Remove(filepath.Join(dir, binSnapshotName(1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := openForTest(t, dir, nil)
+		if got := s.Status().RecoveredFrom; got != from {
+			t.Fatalf("recovered from %q, want %s", got, from)
+		}
+		s.Tracked().View(func(img *config.Image) error {
+			if len(img.Relations) != 0 {
+				t.Errorf("%s recovery left %d relations in the live image", from, len(img.Relations))
+			}
+			return nil
+		})
+		gotPairs, gotPcts := statePairs(t, s.Tracked())
+		if !reflect.DeepEqual(gotPairs, wantPairs) || !reflect.DeepEqual(gotPcts, wantPcts) {
+			t.Fatalf("%s recovery differs from a fresh Track", from)
+		}
+		s.Close()
+	}
+}
+
+// TestSnapshotHoldsRegionsOnly rotates a 500-region world with percent
+// matrices on: both snapshot files hold the regions and no relation, and
+// the XML stays under 1 MiB (the relations would add n(n−1) entries).
+func TestSnapshotHoldsRegionsOnly(t *testing.T) {
+	const n = 500
+	s := openForTest(t, t.TempDir(), buildImage(t, workload.New(59).Scatter(n, 10)))
+	defer s.Close()
+	info, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Bytes <= 0 || info.Bytes >= 1<<20 {
+		t.Fatalf("rotated snapshot is %d bytes, want under 1 MiB", info.Bytes)
+	}
+	xmlDoc, err := loadSnapshot(info.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binDoc, err := loadBinarySnapshot(filepath.Join(s.Dir(), binSnapshotName(info.Seq)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for format, doc := range map[string]*config.Image{"xml": xmlDoc, "binary": binDoc} {
+		if len(doc.Regions) != n || len(doc.Relations) != 0 {
+			t.Errorf("%s snapshot holds %d regions and %d relations, want %d and 0",
+				format, len(doc.Regions), len(doc.Relations), n)
 		}
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snapBytes, err := os.ReadFile(filepath.Join(dir, "snapshot-00000001.xml"))
+	st, err := os.Stat(filepath.Join(s.Dir(), binSnapshotName(info.Seq)))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Seeded path: what Open does — XML load, seeded store, WAL replay.
-	start := time.Now()
-	r, err := Open(dir, nil, Options{Pct: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seededElapsed := time.Since(start)
-	defer r.Close()
-	st := r.Status()
-	if !st.SeededFromSnapshot {
-		t.Fatal("500-region recovery did not take the seeded path")
-	}
-	if st.ReplayedRecords != len(edits) {
-		t.Fatalf("replayed %d records, want %d", st.ReplayedRecords, len(edits))
-	}
-	if st.RecoveryNs <= 0 {
-		t.Fatal("recovery_ns not reported")
-	}
-
-	// Recompute path: same XML bytes, full all-pairs computation.
-	start = time.Now()
-	img, err := config.Parse(snapBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := config.Track(img, core.StoreOptions{Pct: true}); err != nil {
-		t.Fatal(err)
-	}
-	recomputeElapsed := time.Since(start)
-
-	t.Logf("seeded recovery %v (replayed %d edits) vs full recompute %v",
-		seededElapsed, st.ReplayedRecords, recomputeElapsed)
-	if seededElapsed >= recomputeElapsed {
-		t.Errorf("seeded recovery (%v) not faster than full recompute (%v)", seededElapsed, recomputeElapsed)
-	}
-
-	// And it is not just faster — it is the same answer. Rotate so the
-	// recovered state (snapshot + replayed edits) lands in one document,
-	// and recompute that from scratch.
-	info, err := r.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	finalBytes, err := os.ReadFile(info.Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	finalImg, err := config.Parse(finalBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trFinal, err := config.Track(finalImg, core.StoreOptions{Pct: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := trFinal.Store().Pairs()
-	seeded := r.Tracked().Store().Pairs()
-	if len(full) != len(seeded) {
-		t.Fatalf("pair count differs: %d vs %d", len(full), len(seeded))
-	}
-	for i := range full {
-		if full[i] != seeded[i] {
-			t.Fatalf("pair %d differs: %+v vs %+v", i, full[i], seeded[i])
-		}
+	if st.Size() >= 1<<20 {
+		t.Fatalf("binary snapshot is %d bytes, want under 1 MiB", st.Size())
 	}
 }

@@ -43,13 +43,34 @@ func NewEvaluator(img *config.Image) (*Evaluator, error) {
 	if err := img.Validate(); err != nil {
 		return nil, err
 	}
+	e := newEvaluator(img)
+	e.plans = NewPlanCache(64)
+	return e, nil
+}
+
+// NewTrackedEvaluator prepares an evaluator over a tracked configuration,
+// wired to its maintained store and live index and to the given plan cache
+// (nil disables plan caching). It skips NewEvaluator's validation: Track
+// validated the document and every Tracked edit method validates its
+// geometry. Call it inside tr.View and drop the evaluator when View
+// returns.
+func NewTrackedEvaluator(tr *config.Tracked, plans *PlanCache) *Evaluator {
+	e := newEvaluator(tr.Image())
+	e.store = tr.Store()
+	e.live = tr.Index()
+	e.plans = plans
+	return e
+}
+
+// newEvaluator builds an evaluator over img without validating it and
+// without a plan cache.
+func newEvaluator(img *config.Image) *Evaluator {
 	e := &Evaluator{
 		img:      img,
 		geoms:    make(map[string]geom.Region, len(img.Regions)),
 		regs:     make(map[string]*config.Region, len(img.Regions)),
 		preps:    make(map[string]*core.Prepared, len(img.Regions)),
 		sc:       &core.Scratch{},
-		plans:    NewPlanCache(64),
 		relCache: map[[2]string]core.Relation{},
 		pctCache: map[[2]string]core.PercentMatrix{},
 		attrs: map[string]func(*config.Region) string{
@@ -68,7 +89,7 @@ func NewEvaluator(img *config.Image) (*Evaluator, error) {
 		e.ids = append(e.ids, r.ID)
 	}
 	sort.Strings(e.ids)
-	return e, nil
+	return e
 }
 
 // RegisterAttr adds a thematic attribute accessor usable in attribute

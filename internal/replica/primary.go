@@ -37,9 +37,9 @@ type PrimaryOptions struct {
 	// followers further behind than this re-bootstrap from a snapshot.
 	// Values ≤ 0 mean 65536.
 	Retain int
-	// Pct controls whether streamed snapshots materialise percent
-	// matrices — it must match the primary store's StoreOptions.Pct so a
-	// replica seeding from the snapshot tracks the same state.
+	// Pct is advertised with every streamed snapshot so a bootstrapping
+	// replica builds its store with the same option — it must match the
+	// primary store's StoreOptions.Pct.
 	Pct bool
 }
 
@@ -180,24 +180,22 @@ func (p *Primary) BulkAddRegions(regions []config.BulkRegion) error {
 	return nil
 }
 
-// Snapshot materialises and encodes the current world as a binary snapshot,
-// returning it with the replication coordinates a follower needs to seed
-// itself and resume the tail: the head sequence, the store generation, and
-// the epoch — all captured atomically with the snapshot under the edit
-// lock, so "snapshot at seq S, gen G" is exact, not racy.
+// Snapshot encodes the current world's regions as a binary snapshot,
+// returning it with the replication coordinates a follower needs to build
+// its store and resume the tail: the head sequence, the store generation,
+// and the epoch — all captured atomically with the snapshot under the edit
+// lock, so "snapshot at seq S, gen G" is exact, not racy. The document is
+// read under the tracked store's read lock; readers keep running.
 func (p *Primary) Snapshot() (data []byte, seq, gen uint64, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.tr.Store().Len() == 0 {
 		return nil, 0, 0, persist.ErrEmptyWorld
 	}
-	err = p.tr.WithMaterialized(p.opt.Pct, func(img *config.Image) error {
-		data = persist.EncodeSnapshot(img)
+	p.tr.View(func(img *config.Image) error {
+		data = persist.EncodeSnapshot(img.RegionsOnly())
 		return nil
 	})
-	if err != nil {
-		return nil, 0, 0, err
-	}
 	return data, p.head, p.tr.Store().Generation(), nil
 }
 
@@ -225,18 +223,6 @@ func (p *Primary) Records(from uint64, max int) ([]StreamRecord, uint64, error) 
 	// Copy the slice header run so a later trim cannot alias the caller's
 	// view; payloads are append-only and safe to share.
 	return append([]StreamRecord(nil), out...), p.head, nil
-}
-
-// DecodeSnapshotImage decodes and validates a streamed binary snapshot.
-func DecodeSnapshotImage(data []byte) (*config.Image, error) {
-	img, err := persist.DecodeSnapshot(data)
-	if err != nil {
-		return nil, err
-	}
-	if err := img.Validate(); err != nil {
-		return nil, err
-	}
-	return img, nil
 }
 
 // Wait blocks until the head advances past after, the timeout elapses, or

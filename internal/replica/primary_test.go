@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"cardirect/internal/config"
 	"cardirect/internal/core"
+	"cardirect/internal/persist"
 	"cardirect/internal/wal"
 	"cardirect/internal/workload"
 )
@@ -201,7 +203,7 @@ func TestPrimarySnapshot(t *testing.T) {
 		t.Fatalf("snapshot coordinates seq=%d gen=%d, head=%d storeGen=%d",
 			seq, gen, p.Head(), tr.Store().Generation())
 	}
-	img, err := DecodeSnapshotImage(data)
+	img, err := persist.DecodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,23 +213,57 @@ func TestPrimarySnapshot(t *testing.T) {
 	if img.FindRegion("snap1") == nil {
 		t.Fatal("snapshot missing the added region")
 	}
-	// A replica seeded from it reproduces the primary's relations.
-	seeded, _, err := config.TrackSeeded(img, core.StoreOptions{Workers: 1, Pct: true})
+	if len(img.Relations) != 0 {
+		t.Fatalf("snapshot carries %d relations, want regions only", len(img.Relations))
+	}
+	// A replica built from it reproduces the primary's relations.
+	rebuilt, err := config.Track(img, core.StoreOptions{Workers: 1, Pct: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer seeded.Close()
+	defer rebuilt.Close()
 	wantRel, err := tr.Store().Relation("snap1", "attica")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRel, err := seeded.Store().Relation("snap1", "attica")
+	gotRel, err := rebuilt.Store().Relation("snap1", "attica")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wantRel != gotRel {
-		t.Fatalf("seeded relation %v, primary %v", gotRel, wantRel)
+		t.Fatalf("rebuilt relation %v, primary %v", gotRel, wantRel)
 	}
 }
 
 var _ Editor = (*Primary)(nil) // a Primary chains as another Primary's editor
+
+// TestSeedTrackedDropsRelations bootstraps from a snapshot written when
+// snapshots still carried every relation: the relations are recomputed, the
+// live image holds none, and the store sits at the primary's generation.
+func TestSeedTrackedDropsRelations(t *testing.T) {
+	legacy := config.Greece()
+	if err := legacy.ComputeRelations(true); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := seedTracked(persist.EncodeSnapshot(legacy), cacheMeta{Pct: true, Generation: 7}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	tr.View(func(img *config.Image) error {
+		if len(img.Relations) != 0 {
+			t.Errorf("bootstrapped image holds %d relations", len(img.Relations))
+		}
+		return nil
+	})
+	if gen := tr.Store().Generation(); gen != 7 {
+		t.Errorf("generation %d, want the primary's 7", gen)
+	}
+	want, err := config.Track(config.Greece(), core.StoreOptions{Workers: 1, Pct: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tr.Store().Pairs(), want.Store().Pairs()) {
+		t.Fatal("bootstrapped relations differ from a fresh Track")
+	}
+}

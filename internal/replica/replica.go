@@ -19,6 +19,7 @@ import (
 
 	"cardirect/internal/config"
 	"cardirect/internal/core"
+	"cardirect/internal/persist"
 	"cardirect/internal/wal"
 )
 
@@ -480,14 +481,18 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	return nil
 }
 
-// seedTracked decodes and validates a snapshot and seeds a tracked store at
-// the primary's generation.
+// seedTracked decodes a snapshot and builds a tracked store from its regions
+// (Track validates them) at the primary's generation. A relation list in
+// the snapshot (one written before snapshots held regions only) is dropped:
+// the batch engine recomputes every pair, and the live image must not carry
+// the O(n²) list into later edits.
 func seedTracked(data []byte, meta cacheMeta, workers int) (*config.Tracked, error) {
-	img, err := DecodeSnapshotImage(data)
+	img, err := persist.DecodeSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
-	tr, _, err := config.TrackSeeded(img, core.StoreOptions{Workers: workers, Pct: meta.Pct})
+	img.Relations = nil
+	tr, err := config.Track(img, core.StoreOptions{Workers: workers, Pct: meta.Pct})
 	if err != nil {
 		return nil, err
 	}

@@ -572,13 +572,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	tr := s.tracked()
 	out := queryResponse{Bindings: []map[string]string{}}
 	err := tr.View(func(img *config.Image) error {
-		ev, err := query.NewEvaluator(img)
-		if err != nil {
-			return err
-		}
-		ev.UseStore(tr.Store())
-		ev.UseIndex(tr.Index())
-		ev.SetPlanCache(s.plans)
+		ev := query.NewTrackedEvaluator(tr, s.plans)
 		res, err := ev.Run(r.Context(), req.Q, req.Args)
 		if err != nil {
 			return err
@@ -605,8 +599,8 @@ type statsResponse struct {
 }
 
 // handleAdminSnapshot rotates the durable store: write the next snapshot
-// generation (materialised relations included) and truncate the WAL. 404
-// when the server runs without persistence.
+// generation (the regions only; recovery recomputes the relations) and
+// truncate the WAL. 404 when the server runs without persistence.
 func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) error {
 	p := s.opt.Persist
 	if p == nil {

@@ -214,7 +214,6 @@ func New(tr *config.Tracked, opt Options) *Server {
 				"recovery_ns":      st.RecoveryNs,
 				"replayed_records": st.ReplayedRecords,
 				"skipped_records":  st.SkippedRecords,
-				"seeded":           st.SeededFromSnapshot,
 			}
 		}))
 	}
